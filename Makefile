@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check vet lint lint-baseline test race smoke race-smoke bench bench-gate bench-trace telemetry-smoke host-prof-smoke layout-smoke experiments-output clean
+.PHONY: all build check vet lint lint-baseline test race smoke race-smoke bench bench-gate bench-trace telemetry-smoke experiments-output clean
 
 all: build
 
@@ -10,8 +10,7 @@ build:
 # check is the verification gate: static analysis (vet + the simlint
 # invariant suite), the full test suite under the race detector (the
 # trace ring is the shared-state hot spot), a sanitized smoke run of
-# every architecture, and a race-checked parallel smoke of the runner
-# pool.
+# every architecture, and a race-checked smoke of the runner pool.
 check: vet lint race smoke race-smoke
 
 vet:
@@ -49,17 +48,13 @@ smoke:
 	$(GO) run ./cmd/cmpsim -workload fft -quick -sanitize
 	$(GO) run ./cmd/cmpsim -workload mp3d -quick -sanitize
 
-# race-smoke drives both parallelism axes under the race detector on
-# real simulations, not just the unit tests. First the internal/runner
-# worker pool: all three architectures of a sanitized quick workload run
-# concurrently on 4 workers, proving the pool's job isolation (no shared
-# tracer, checker, or counter state). Then the intra-simulation parallel
-# tick: a detailed-CPU quick workload sharded across 4 sim workers
-# (-sanitize is omitted there — the sanitizer forces the serial path,
-# so a sanitized run would not exercise the tick gate at all).
+# race-smoke drives the internal/runner worker pool under the race
+# detector on real simulations, not just the unit tests: all three
+# architectures of a sanitized quick workload run concurrently on 4
+# workers, proving the pool's job isolation (no shared tracer, checker,
+# or counter state).
 race-smoke:
 	$(GO) run -race ./cmd/cmpsim -workload eqntott -quick -sanitize -jobs 4
-	$(GO) run -race ./cmd/cmpsim -workload mp3d -quick -model mxs -sim-jobs 4
 
 # bench runs the figure-benchmark matrix (internal/benchfig) through
 # cmd/benchjson and writes BENCH_figures.json: ns/op and simulated
@@ -71,15 +66,10 @@ bench:
 
 # bench-gate is the CI perf gate: re-measure the figure matrix
 # (median of 3 samples per cell) and diff against the committed
-# baseline. Sim cycle counts must match exactly (determinism anchor —
-# including at -sim-jobs 2 and under the profile-suggested shard
-# layout on the detailed-CPU rows); Mipsy MemBound rows must keep a
-# >= 2x skip speedup; the MXS MemBound row must keep a >= 1.5x
-# parallel-tick speedup (1.4x on hosts with fewer than 4 cores) unless
-# the baseline marks it par_regression, and its gate_wait_frac may not
-# climb more than 5 points above the committed value when the adopted
-# layout matches; every other row's dimensionless speedup must stay
-# within ±30% of its baseline value.
+# baseline. Sim cycle counts must match exactly (determinism anchor);
+# Mipsy MemBound rows must keep a >= 2x skip speedup and the MXS
+# MemBound row a >= 1.5x one; every other row's dimensionless speedup
+# must stay within ±30% of its baseline value.
 bench-gate:
 	$(GO) run ./cmd/benchjson -gate BENCH_figures.json -samples 3
 
@@ -92,42 +82,15 @@ telemetry-smoke:
 # experiments-output regenerates the full-campaign capture that
 # EXPERIMENTS.md describes. The file is a generated artifact —
 # .gitignore'd, like simlint.sarif and ownership.json — so reproduce
-# it locally rather than expecting it in the tree (~30 s on one core;
-# add `-sim-jobs 4` manually for a sharded run, output is identical).
+# it locally rather than expecting it in the tree (~30 s on one core).
 experiments-output:
 	$(GO) run ./cmd/experiments > experiments_output.txt
 
 # bench-trace proves the disabled-instrumentation acceptance bar:
-# BenchmarkTracerDisabled, BenchmarkProfDisabled and
-# BenchmarkHostProfDisabled must report 0 allocs/op (CI greps the
-# output for exactly that).
+# BenchmarkTracerDisabled and BenchmarkProfDisabled must report 0
+# allocs/op (CI greps the output for exactly that).
 bench-trace:
-	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf|BenchmarkHostProf' -benchmem .
-
-# layout-smoke round-trips the profile-guided layout pipeline on real
-# runs: profile a quick sharded memory-bound point, ask the offline
-# search (parprof -suggest-layout) for a CPU→worker assignment, then
-# prove the suggested -shard-layout plus -sim-window-adapt leave the
-# simulation output byte-identical to the serial run.
-layout-smoke:
-	$(GO) run ./cmd/parprof -workload mp3d -quick -arch shared-mem -membound -sim-jobs 2 -json layout_prof.json > /dev/null
-	$(GO) run ./cmd/cmpsim -workload mp3d -quick -arch shared-mem -model mxs > layout_a.txt
-	LAYOUT=$$($(GO) run ./cmd/parprof -in layout_prof.json -suggest-layout 4 | sed -n 's/^rerun with: -shard-layout //p'); \
-	  echo "layout-smoke: adopting -shard-layout $$LAYOUT"; \
-	  $(GO) run ./cmd/cmpsim -workload mp3d -quick -arch shared-mem -model mxs -sim-jobs 4 -shard-layout "$$LAYOUT" -sim-window-adapt > layout_b.txt
-	cmp layout_a.txt layout_b.txt
-	rm -f layout_a.txt layout_b.txt layout_prof.json
-
-# host-prof-smoke pins the host observatory's determinism contract on a
-# real sharded run: two parprof invocations over the memory-bound
-# 2-CPU MP3D point at -sim-jobs 2 must print byte-identical
-# schedule-shape reports (-sim-only strips the wall-clock half), and
-# the second run leaves its decomposition JSON behind for CI to upload.
-host-prof-smoke:
-	$(GO) run ./cmd/parprof -workload mp3d -quick -arch shared-mem -membound -cpus 2 -sim-jobs 2 -sim-only -json hostprof_smoke.json > hostprof_a.txt
-	$(GO) run ./cmd/parprof -workload mp3d -quick -arch shared-mem -membound -cpus 2 -sim-jobs 2 -sim-only -json hostprof_smoke.json > hostprof_b.txt
-	cmp hostprof_a.txt hostprof_b.txt
-	rm -f hostprof_a.txt hostprof_b.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkTracer|BenchmarkProf' -benchmem .
 
 clean:
 	$(GO) clean ./...

@@ -7,35 +7,15 @@
 // skip-vs-no-skip speedup per figure. CI uploads the file as an
 // artifact so future PRs have a perf trajectory to regress against.
 //
-// Detailed-CPU (MXS) rows are additionally measured with the parallel
-// tick scheduler, profile-guided: an untimed -sim-jobs 2 identity run
-// under the default contiguous layout carries an internal/hostprof
-// recorder, the profile it yields feeds the offline shard-layout
-// search (hostprof.SuggestLayout, the cmd/parprof -suggest-layout
-// engine), and the timed parallel cells adopt the suggested layout —
-// recorded as par_layout. The simulated cycle count must match the
-// serial run exactly under both the default and the adopted layout,
-// and the wall-clock ratio against the same sample's serial run is
-// recorded as par_speedup. A row whose parallel run is slower than its
-// serial run is marked par_regression: true and excluded from the
-// gate's parallel floor — the mark makes honest baselines from hosts
-// where sharding cannot win committable without disarming the gate
-// everywhere else.
-//
 // With -gate it becomes the CI perf gate instead: it re-measures the
 // matrix and compares against the committed baseline without writing
 // anything. Simulated cycle counts must match the baseline exactly
 // (they are deterministic; a mismatch means the baseline is stale and
 // must be regenerated). Wall-clock figures differ across hardware, so
 // the gate checks dimensionless same-host speedups instead of ns/op:
-// Mipsy MemBound rows must keep a skip-vs-no-skip speedup of at least
-// 2x, the MXS MemBound row must keep a parallel-vs-serial speedup of
-// at least 1.5x (1.4x on hosts with fewer than four cores, where the
-// win comes from the per-CPU local skip plus the adopted layout), and
-// every other row must stay within ±30% of its baseline skip speedup.
-// The MXS MemBound row's gate_wait_frac must also stay within 5 points
-// of the committed baseline when the adopted layout matches — the
-// ceiling that keeps the spent-down gate wait spent. -samples N
+// the Mipsy MemBound rows must keep a skip-vs-no-skip speedup of at
+// least 2x, the MXS MemBound row one of at least 1.5x, and every other
+// row must stay within ±30% of its baseline skip speedup. -samples N
 // measures each cell N times and takes the median, damping scheduler
 // noise on shared CI runners.
 //
@@ -58,7 +38,6 @@ import (
 
 	"cmpsim/internal/benchfig"
 	"cmpsim/internal/core"
-	"cmpsim/internal/hostprof"
 )
 
 // figureRow is one figure's measurements. Simulated cycle counts are
@@ -74,35 +53,6 @@ type figureRow struct {
 	NoSkipNsPerOp       int64   `json:"noskip_ns_per_op"`
 	NoSkipSimCyclesPerS float64 `json:"noskip_sim_cycles_per_sec"`
 	Speedup             float64 `json:"speedup"`
-
-	// Parallel-tick measurement (MXS rows only; zero elsewhere).
-	// ParSpeedup is the median of per-sample serial/parallel ratios;
-	// each ratio pairs back-to-back runs of the same sample. Simulated
-	// cycles are verified identical at every worker count and layout,
-	// so SimCyclesPerOp serves the parallel throughput number too.
-	// ParLayout is the CPU→worker assignment the timed cells ran under:
-	// the offline layout search's suggestion from the default-layout
-	// profiling run ("" = the search kept the default contiguous
-	// split). ParRegression marks a row whose parallel run lost to its
-	// serial run on this host; the gate excludes marked rows from the
-	// parallel floor.
-	ParJobs          int     `json:"par_jobs,omitempty"`
-	ParLayout        string  `json:"par_layout,omitempty"`
-	ParNsPerOp       int64   `json:"par_ns_per_op,omitempty"`
-	ParSimCyclesPerS float64 `json:"par_sim_cycles_per_sec,omitempty"`
-	ParSpeedup       float64 `json:"par_speedup,omitempty"`
-	ParRegression    bool    `json:"par_regression,omitempty"`
-
-	// GateWaitFrac is the share of busy worker time the parallel-tick
-	// run spent spinning at tick gates, measured by an internal/hostprof
-	// recorder on the untimed identity-check run under the adopted
-	// layout (MXS rows; zero for serial-only rows). It explains a
-	// par_speedup gap — a row near 0 is barrier/serial-bound, a row near
-	// 0.5 loses half its worker time to cross-shard waiting. The gate
-	// checks it stays in [0,1] everywhere and, on the MXS MemBound
-	// sentinel with a matching layout, within gateWaitSlack of the
-	// baseline.
-	GateWaitFrac float64 `json:"gate_wait_frac"`
 }
 
 // report is the BENCH_figures.json schema. No timestamp on purpose:
@@ -115,16 +65,14 @@ type report struct {
 	Figures   []figureRow `json:"figures"`
 }
 
-// benchFigure times one (figure, noSkip, simJobs, layout) cell and
-// returns the result plus the simulated cycles of a single op.
-func benchFigure(f benchfig.Figure, noSkip bool, simJobs int, layout string) (testing.BenchmarkResult, uint64, error) {
+// benchFigure times one (figure, noSkip) cell and returns the result
+// plus the simulated cycles of a single op.
+func benchFigure(f benchfig.Figure, noSkip bool) (testing.BenchmarkResult, uint64, error) {
 	var cycles uint64
 	var runErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		cfg := f.Config()
 		cfg.NoSkip = noSkip
-		cfg.SimJobs = simJobs
-		cfg.ShardLayout = layout
 		for i := 0; i < b.N; i++ {
 			_, c, err := benchfig.Run(f, &cfg)
 			if err != nil {
@@ -136,9 +84,6 @@ func benchFigure(f benchfig.Figure, noSkip bool, simJobs int, layout string) (te
 	})
 	return r, cycles, runErr
 }
-
-// parJobs is the worker count of the parallel-tick measurement cell.
-const parJobs = 4
 
 func cyclesPerSec(cycles uint64, nsPerOp int64) float64 {
 	if nsPerOp <= 0 {
@@ -165,48 +110,16 @@ func medianFloat64(vs []float64) float64 {
 // skewing the quotient of two independently-noisy medians. Sim cycles
 // must be identical across every sample — they are deterministic, and a
 // drift here is a simulator bug worth dying on.
-// MXS figures additionally measure the parallel tick scheduler at
-// parJobs workers, profile-guided in two untimed stages around the
-// timed cells: first an identity-check run at -sim-jobs 2 under the
-// default contiguous layout carries a hostprof recorder whose profile
-// feeds the offline layout search; the timed parallel cells then adopt
-// the suggested layout, pairing each sample's parallel run against
-// that sample's serial skip run for the par_speedup ratio. A second
-// untimed identity run under the adopted layout yields the row's
-// gate_wait_frac. Simulated cycles must match the serial run exactly
-// in every stage — the identity guarantee is "every worker count and
-// layout", not one lucky shard shape.
 func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
-	par := f.Model == core.ModelMXS
-	var parLayout string
-	var profCycles uint64
-	if par {
-		// Stage 1: profile the default layout. The run doubles as the
-		// -sim-jobs 2 identity check (cycles verified against the serial
-		// runs below) and proves host-side observation composes with the
-		// parallel tick.
-		cfg := f.Config()
-		cfg.SimJobs = 2
-		rec := hostprof.New()
-		cfg.HostProf = rec
-		_, c, err := benchfig.Run(f, &cfg)
-		if err != nil {
-			return figureRow{}, err
-		}
-		profCycles = c
-		if sc, err := hostprof.SuggestLayout(rec.Snapshot("", "", ""), parJobs); err == nil {
-			parLayout = sc.Layout
-		}
-	}
-	var skipNs, noSkipNs, parNs []int64
-	var ratios, parRatios []float64
+	var skipNs, noSkipNs []int64
+	var ratios []float64
 	var cycles uint64
 	for s := 0; s < samples; s++ {
-		skip, c, err := benchFigure(f, false, 1, "")
+		skip, c, err := benchFigure(f, false)
 		if err != nil {
 			return figureRow{}, err
 		}
-		ref, _, err := benchFigure(f, true, 1, "")
+		ref, _, err := benchFigure(f, true)
 		if err != nil {
 			return figureRow{}, err
 		}
@@ -219,42 +132,6 @@ func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
 		if ns := skip.NsPerOp(); ns > 0 {
 			ratios = append(ratios, float64(ref.NsPerOp())/float64(ns))
 		}
-		if par {
-			pres, pc, err := benchFigure(f, false, parJobs, parLayout)
-			if err != nil {
-				return figureRow{}, err
-			}
-			if pc != c {
-				return figureRow{}, fmt.Errorf("sim cycles diverge at -sim-jobs %d layout %q: serial %d vs parallel %d", parJobs, parLayout, c, pc)
-			}
-			parNs = append(parNs, pres.NsPerOp())
-			if ns := pres.NsPerOp(); ns > 0 {
-				parRatios = append(parRatios, float64(skip.NsPerOp())/float64(ns))
-			}
-		}
-	}
-	var gateWaitFrac float64
-	if par {
-		if profCycles != cycles {
-			return figureRow{}, fmt.Errorf("sim cycles diverge at -sim-jobs 2: serial %d vs parallel %d", cycles, profCycles)
-		}
-		// Stage 2: the identity check under the adopted layout, again
-		// with a recorder — its decomposition is the gate_wait_frac the
-		// timed cells actually experienced, aggregated over the three
-		// architecture runs.
-		cfg := f.Config()
-		cfg.SimJobs = parJobs
-		cfg.ShardLayout = parLayout
-		rec := hostprof.New()
-		cfg.HostProf = rec
-		_, c2, err := benchfig.Run(f, &cfg)
-		if err != nil {
-			return figureRow{}, err
-		}
-		if c2 != cycles {
-			return figureRow{}, fmt.Errorf("sim cycles diverge at -sim-jobs %d layout %q: serial %d vs parallel %d", parJobs, parLayout, cycles, c2)
-		}
-		gateWaitFrac = rec.Snapshot("", "", "").Decomp.GateShareOfBusy
 	}
 	row := figureRow{
 		Name:           f.Name,
@@ -268,42 +145,21 @@ func measureFigure(f benchfig.Figure, samples int) (figureRow, error) {
 	if len(ratios) > 0 {
 		row.Speedup = medianFloat64(ratios)
 	}
-	if par {
-		row.ParJobs = parJobs
-		row.ParLayout = parLayout
-		row.ParNsPerOp = medianInt64(parNs)
-		row.ParSimCyclesPerS = cyclesPerSec(cycles, row.ParNsPerOp)
-		if len(parRatios) > 0 {
-			row.ParSpeedup = medianFloat64(parRatios)
-		}
-		row.ParRegression = row.ParSpeedup > 0 && row.ParSpeedup < 1
-		row.GateWaitFrac = gateWaitFrac
-	}
 	return row, nil
 }
 
-// gate tolerances. Mipsy MemBound rows exist precisely to prove the
+// gate tolerances. The MemBound rows exist precisely to prove the
 // quiescence-skipping scheduler earns its keep on latency-dominated
-// configurations (the MXS MemBound row is exempt from the skip floor:
-// its out-of-order CPUs block at staggered times, so the serial global
-// skip barely fires there — that row's sentinel is the parallel-tick
-// floor instead). The default rows only guard against the skip
-// machinery itself regressing, so they get a wide hardware-tolerant
-// band around the baseline's dimensionless speedup. Parallel speedups
-// are floor-checked rather than banded: the baseline may come from a
-// host with a different core count, so comparing against it is
-// meaningless. Rows the baseline marks par_regression are excluded
-// from the floor entirely. The gate-wait ceiling is the one
-// cross-baseline comparison: when the sentinel's adopted layout
-// matches the baseline's, its gate_wait_frac may not climb more than
-// gateWaitSlack above the committed value — profile-guided layouts
-// spent that budget down and the gate keeps it spent.
+// configurations, so they are floor-checked: on the Mipsy rows nearly
+// every cycle has every CPU mid-miss, and on the MXS row the
+// out-of-order CPUs block at staggered times, which the per-CPU wake
+// turns into parked spans. The default rows only guard against the
+// skip machinery itself regressing, so they get a wide
+// hardware-tolerant band around the baseline's dimensionless speedup.
 const (
-	gateMemBoundMinSpeedup     = 2.0
-	gateSpeedupTolerance       = 0.30
-	gateParMinSpeedup          = 1.5 // hosts with >= parJobs cores (CI runners)
-	gateParMinSpeedupSmallHost = 1.4 // fewer cores: per-CPU local skip + adopted layout
-	gateWaitSlack              = 0.05
+	gateMemBoundMinSpeedup    = 2.0
+	gateMXSMemBoundMinSpeedup = 1.5
+	gateSpeedupTolerance      = 0.30
 )
 
 // runGate re-measures every figure of the baseline and applies the
@@ -338,14 +194,16 @@ func runGate(baseline report, samples int) bool {
 			fail(f.Name, "sim cycles changed: %d -> %d (simulation output moved; regenerate the baseline deliberately)",
 				b.SimCyclesPerOp, row.SimCyclesPerOp)
 			status = "FAIL"
-		case memBound && f.Model == core.ModelMipsy:
-			if row.Speedup < gateMemBoundMinSpeedup {
+		case memBound:
+			floor := gateMemBoundMinSpeedup
+			if f.Model == core.ModelMXS {
+				floor = gateMXSMemBoundMinSpeedup
+			}
+			if row.Speedup < floor {
 				fail(f.Name, "skip speedup %.2fx below the %.1fx floor (baseline %.2fx)",
-					row.Speedup, gateMemBoundMinSpeedup, b.Speedup)
+					row.Speedup, floor, b.Speedup)
 				status = "FAIL"
 			}
-		case memBound:
-			// MXS MemBound: the parallel-tick sentinel, checked below.
 		default:
 			lo := b.Speedup * (1 - gateSpeedupTolerance)
 			hi := b.Speedup * (1 + gateSpeedupTolerance)
@@ -355,48 +213,8 @@ func runGate(baseline report, samples int) bool {
 				status = "FAIL"
 			}
 		}
-		// A gate_wait_frac outside [0,1] means the hostprof
-		// decomposition math broke, which is worth failing on anywhere.
-		if row.GateWaitFrac < 0 || row.GateWaitFrac > 1 {
-			fail(f.Name, "gate_wait_frac %.4f outside [0,1] (hostprof decomposition broken)", row.GateWaitFrac)
-			status = "FAIL"
-		}
-		if memBound && row.ParJobs > 0 && status == "ok" {
-			switch {
-			case b.ParRegression:
-				// The committed baseline records that sharding loses on its
-				// host; the floor would only re-measure that fact.
-			default:
-				floor := gateParMinSpeedup
-				if runtime.NumCPU() < parJobs {
-					floor = gateParMinSpeedupSmallHost
-				}
-				if row.ParSpeedup < floor {
-					fail(f.Name, "parallel-tick speedup %.2fx at -sim-jobs %d below the %.2fx floor (baseline %.2fx)",
-						row.ParSpeedup, row.ParJobs, floor, b.ParSpeedup)
-					status = "FAIL"
-				}
-			}
-			// The ceiling only compares like with like: a different
-			// adopted layout means a different host shape, where the
-			// baseline's spin share says nothing.
-			if row.ParLayout == b.ParLayout && row.GateWaitFrac > b.GateWaitFrac+gateWaitSlack {
-				fail(f.Name, "gate_wait_frac %.4f exceeds baseline %.4f by more than %.2f (layout %q)",
-					row.GateWaitFrac, b.GateWaitFrac, gateWaitSlack, row.ParLayout)
-				status = "FAIL"
-			}
-		}
 		line := fmt.Sprintf("%-28s %12d sim-cycles  speedup %.2fx (baseline %.2fx)",
 			f.Name, row.SimCyclesPerOp, row.Speedup, b.Speedup)
-		if row.ParJobs > 0 {
-			line += fmt.Sprintf("  par %.2fx gwf %.2f", row.ParSpeedup, row.GateWaitFrac)
-			if row.ParLayout != "" {
-				line += " layout " + row.ParLayout
-			}
-			if row.ParRegression {
-				line += " (par regression)"
-			}
-		}
 		fmt.Fprintf(os.Stderr, "%s  %s\n", line, status)
 	}
 	for _, row := range baseline.Figures {
@@ -465,12 +283,6 @@ func main() {
 		if *verbose {
 			line := fmt.Sprintf("%-28s %12d sim-cycles  skip %10dns/op  no-skip %10dns/op  %.2fx",
 				f.Name, row.SimCyclesPerOp, row.SkipNsPerOp, row.NoSkipNsPerOp, row.Speedup)
-			if row.ParJobs > 0 {
-				line += fmt.Sprintf("  par%d %10dns/op  %.2fx gwf %.2f", row.ParJobs, row.ParNsPerOp, row.ParSpeedup, row.GateWaitFrac)
-				if row.ParLayout != "" {
-					line += " layout " + row.ParLayout
-				}
-			}
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"cmpsim/internal/memsys"
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
+	"cmpsim/internal/telemetry"
 )
 
 // Arch identifies one of the three architecture compositions.
@@ -55,9 +56,9 @@ type Core interface {
 	// work (cpu.NoWork if it is now halted). The hint obeys the same
 	// asymmetric contract as NextWork — too small only costs no-op
 	// ticks — and is returned from Tick so the scheduler's common case
-	// (someone is runnable next cycle) costs no extra call: the cycle
-	// loop only falls back to the verifying NextWork scan when every
-	// hint clears cyc+1.
+	// (the core is runnable next cycle) costs no extra call: the cycle
+	// loop only asks for the verifying NextWork proof when the hint
+	// clears now+1.
 	Tick(now uint64) uint64
 	Done() bool
 	Stats() cpu.StallStats
@@ -67,11 +68,12 @@ type Core interface {
 	// NextWork returns the earliest cycle at or after now at which Tick
 	// could make progress or have any observable side effect, assuming
 	// no external state changes first; cpu.NoWork if the core is halted.
-	// The quiescence-skipping scheduler jumps the cycle loop to the
-	// minimum NextWork across cores (bounded by pending events, sampler
-	// boundaries and interrupts), so the contract is asymmetric: a value
-	// that is too small merely costs no-op ticks, while a value that is
-	// too large would change simulation output. Models return now+1
+	// The quiescence-skipping scheduler parks the core until then, so
+	// the contract is asymmetric: a value that is too small merely costs
+	// no-op ticks, while a value that is too large would change
+	// simulation output. The external changes the scheduler watches for
+	// are event callbacks and IRQ deliveries; another core's tick must
+	// never shorten a core's NextWork. Models return now+1
 	// whenever they cannot cheaply prove a longer quiescent window.
 	NextWork(now uint64) uint64
 }
@@ -79,8 +81,10 @@ type Core interface {
 // cycleSkipper is implemented by CPU models whose per-cycle accounting
 // must be backfilled across a skipped window. MXS charges one stall
 // cycle of blame per zero-graduation cycle; a skipped cycle still
-// happened architecturally, so the scheduler reports every jump to the
-// model before taking it.
+// happened architecturally, so the scheduler reports every parked span
+// to the model, in pieces that add up to the whole span, before anyone
+// reads the model's counters. It is resolved from Machine.CPUs at each
+// backfill, so wrappers installed after construction take part.
 type cycleSkipper interface {
 	SkipCycles(from, to uint64)
 }
@@ -205,29 +209,32 @@ type Machine struct {
 	Events event.Queue
 
 	// irq holds the per-CPU external interrupt lines behind the
-	// window-boundary arbitration protocol (see irqLines): event-phase
-	// raises land on the live lines immediately, tick-phase raises are
-	// buffered and merged onto the live lines at the next SimWindow grid
-	// boundary, and each CPU reads and acks only its own live line
-	// within a window. Both schedulers follow the same protocol, so
-	// delivery cycles are identical serial and parallel.
+	// grid-boundary delivery protocol (see irqLines): event-phase raises
+	// land on the live lines immediately, tick-phase raises are buffered
+	// and merged onto the live lines at the next SimWindow grid
+	// boundary.
 	irq irqLines
 
-	// inTick distinguishes the two scheduler phases for RaiseIRQ: false
-	// while event callbacks run (coordinator phase — raises deliver
-	// immediately, as the guest kernel's preemption timers always have),
-	// true while CPUs tick (raises buffer until the next grid boundary).
+	// inTick distinguishes the two loop phases for RaiseIRQ: false while
+	// event callbacks run (raises deliver immediately, as the guest
+	// kernel's preemption timers always have), true while CPUs tick
+	// (raises buffer until the next grid boundary).
 	inTick bool
 
-	// par is the parallel tick scheduler, built only when the
-	// configuration asks for sharding (SimJobs > 1 on a multi-CPU
-	// machine); nil means the serial loop runs unconditionally.
-	par *parSched
+	// wake and parkedAt are the per-CPU quiescence state of RunWindow:
+	// wake[id] != 0 means CPU id is parked — not ticked before cycle
+	// wake[id] — and parkedAt[id] is the first parked cycle whose stall
+	// accounting has not been backfilled yet. Sized on the first
+	// RunWindow call and cleared at the end of every call.
+	wake     []uint64
+	parkedAt []uint64
 
 	// skipped counts the cycles the quiescence-skipping scheduler
-	// fast-forwarded over instead of ticking (a pure speed metric:
-	// simulated time is identical with skipping disabled).
+	// fast-forwarded over with every CPU parked; parked counts the
+	// per-CPU cycles parked CPUs sat out. Both are pure speed metrics:
+	// simulated time is identical with skipping disabled.
 	skipped uint64
+	parked  uint64
 
 	// syms is the machine-wide physical-address symbol table, collected
 	// from every loaded program (relocated by its load bias) so a
@@ -241,23 +248,17 @@ type Machine struct {
 }
 
 // irqLines is the per-CPU external-interrupt state under the
-// window-boundary arbitration protocol the parallel tick requires and
-// the serial loop reproduces:
+// grid-boundary delivery protocol:
 //
-//   - live are the delivered lines. Within a scheduling window each
-//     line is read (PendingInterrupt) and cleared (AckInterrupt) only
-//     by its own CPU, and written by the coordinator phase (event
-//     callbacks, grid-boundary merges) only between windows — so no two
-//     goroutines ever touch a live line concurrently.
+//   - live are the delivered lines. Each line is read
+//     (PendingInterrupt) and cleared (AckInterrupt) only by its own
+//     CPU, and set by event callbacks and grid-boundary merges.
 //   - pending buffers raises made from tick phase (a trap handler
-//     running under some CPU's tick). Tick-phase code runs under the
-//     scheduler's serial-order shared-state grant, so pending is
-//     mutated exclusively; merge promotes it to live at the next
-//     SimWindow grid boundary, identically in both schedulers.
+//     running under some CPU's tick); merge promotes them to live at
+//     the next SimWindow grid boundary.
 //
 // The arbitration points are the methods below, declared as such for
-// the sharedmut analyzer: the classification is an enforced invariant
-// of the parallel scheduler, not documentation.
+// the sharedmut analyzer.
 type irqLines struct {
 	live    []bool
 	pending []bool
@@ -285,12 +286,13 @@ func (q *irqLines) raise(cpuID int, tickPhase bool) {
 func (q *irqLines) ack(cpuID int) { q.live[cpuID] = false }
 
 // merge promotes buffered tick-phase raises onto the live lines; called
-// at SimWindow grid boundaries by both schedulers.
+// at SimWindow grid boundaries. It reports whether any line was
+// delivered.
 //
 //simlint:arbiter
-func (q *irqLines) merge() {
+func (q *irqLines) merge() bool {
 	if q.npend == 0 {
-		return
+		return false
 	}
 	for i, p := range q.pending {
 		if p {
@@ -299,6 +301,7 @@ func (q *irqLines) merge() {
 		}
 	}
 	q.npend = 0
+	return true
 }
 
 // RaiseIRQ asserts the external interrupt line of a CPU; the CPU takes
@@ -306,7 +309,7 @@ func (q *irqLines) merge() {
 // draining its pipeline (MXS). Raised from an event callback (the
 // kernel's preemption timers) the line is live the same cycle; raised
 // from tick phase it is buffered and delivered at the next SimWindow
-// grid boundary, in both the serial and the parallel scheduler.
+// grid boundary.
 func (m *Machine) RaiseIRQ(cpuID int) { m.irq.raise(cpuID, m.inTick) }
 
 // PendingInterrupt implements cpu.InterruptSource.
@@ -322,9 +325,13 @@ type interruptible interface {
 }
 
 // NewMachine builds a machine with the given architecture, memory-system
-// configuration, CPU model and physical memory size. Contexts are added
-// with AddContext; programs with LoadProgram.
+// configuration, CPU model and physical memory size, rejecting a config
+// that fails Config.Validate. Contexts are added with AddContext;
+// programs with LoadProgram.
 func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if model == ModelMXS {
 		cfg = cfg.MXS()
 	}
@@ -345,16 +352,10 @@ func NewMachine(a Arch, model CPUModel, cfg memsys.Config, memBytes uint32) (*Ma
 			pending: make([]bool, cfg.NumCPUs),
 		},
 	}
-	if (cfg.SimJobs > 1 || cfg.ShardLayout != "") && cfg.NumCPUs > 1 {
-		m.par, err = newParSched(m, max(cfg.SimJobs, 2))
-		if err != nil {
-			return nil, err
-		}
-	}
 	switch model {
 	case ModelMipsy:
 		m.newCore = func(id int, ctx *cpu.Context) Core {
-			c := mipsy.New(id, ctx, m.gatedSys(id), m.Code.Cursor(), m.gatedTrap(id), m.Img, cfg.LineBytes)
+			c := mipsy.New(id, ctx, m.Sys, m.Code.Cursor(), m.Trap, m.Img, cfg.LineBytes)
 			if cfg.Prof != nil {
 				c.SetProfiler(cfg.Prof)
 			}
@@ -481,14 +482,25 @@ func (r *RunResult) IPC() float64 {
 // It returns the first cycle not executed, whether every CPU has halted,
 // and any guest fault. CPU service order rotates each cycle so no
 // processor gets a standing arbitration advantage.
+//
+// Quiescence skipping is per CPU (DESIGN.md §6). A CPU whose tick hint
+// clears the next cycle, and whose NextWork proof agrees, is parked
+// until its wake cycle and not ticked in between: its skipped ticks
+// would have been no-ops. When every running CPU is parked the loop
+// jumps straight to the earliest wake (nextCycle). An event firing or a
+// grid-boundary IRQ merge can create work for a parked CPU, so either
+// wakes every CPU on the spot. Models that charge per-cycle stall blame
+// (cycleSkipper) are backfilled lazily for the parked span: before the
+// CPU's next tick, before a sampler probe and at window end.
 func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err error) {
 	if len(m.CPUs) == 0 {
 		return start, false, fmt.Errorf("core: machine has no CPUs")
 	}
-	if m.parActive() {
-		return m.runParallel(start, n)
-	}
 	cpus := len(m.CPUs)
+	if len(m.wake) != cpus {
+		m.wake = make([]uint64, cpus)
+		m.parkedAt = make([]uint64, cpus)
+	}
 	mets := m.Cfg.Metrics
 	noSkip := m.Cfg.NoSkip
 	grid := m.gridSize()
@@ -498,69 +510,87 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	// to the shared atomic counters in batches, so the per-cycle cost of
 	// enabled telemetry is one branch and one register increment, and
 	// the disabled path is the nil check alone. Skipped cycles flush as
-	// deltas of m.skipped so the counters stay live mid-window.
+	// deltas of m.skipped and m.parked so the counters stay live
+	// mid-window.
 	tel := m.Cfg.Telem
 	var telTicked uint64
-	telSkipBase := m.skipped
+	telSkipBase, telParkBase := m.skipped, m.parked
 	if tel != nil {
 		tel.Windows.Inc()
 	}
 	for cyc < end {
-		if cyc%grid == 0 {
-			m.irq.merge()
+		if cyc%grid == 0 && m.irq.merge() {
+			m.wakeAll(cyc)
 		}
-		m.Events.RunUntil(cyc)
+		if ev, ok := m.Events.NextCycle(); ok && ev <= cyc {
+			m.Events.RunUntil(cyc)
+			m.wakeAll(cyc)
+		}
 		m.inTick = true
 		alive := false
-		// Candidate quiescence horizon, gathered from the ticks' own
-		// return hints. It can only be stale in the safe direction: a
-		// tick later in the rotation may create work for an earlier CPU
-		// (syscall wake, IPI), never remove any, so wake <= cyc+1
-		// soundly suppresses the skip and anything later is re-verified
-		// from fresh post-tick state by nextCycle.
-		wake := uint64(cpu.NoWork)
+		// soonest is the earliest cycle any running CPU next needs a
+		// tick: cyc+1 for a CPU that stays on the per-cycle path, the
+		// wake cycle for a parked one.
+		soonest := uint64(cpu.NoWork)
 		// Rotate in uint64 so multi-billion-cycle runs can't skew the
 		// arbitration order through a narrowing conversion on 32-bit ints.
 		off := int(cyc % uint64(cpus))
 		for i := 0; i < cpus; i++ {
-			c := m.CPUs[(i+off)%cpus]
+			id := (i + off) % cpus
+			c := m.CPUs[id]
 			if c.Done() {
 				continue
 			}
 			alive = true
-			if w := c.Tick(cyc); w < wake {
-				wake = w
+			if w := m.wake[id]; w != 0 {
+				if w > cyc {
+					if w < soonest {
+						soonest = w
+					}
+					continue
+				}
+				m.unpark(id, cyc)
+			}
+			w := c.Tick(cyc)
+			if w > cyc+1 && !noSkip {
+				w = m.park(id, cyc)
+			}
+			if w < soonest {
+				soonest = w
 			}
 		}
 		m.inTick = false
+		// A due sample first brings parked CPUs' stall accounting up to
+		// date, so the probe reads the counters of the per-cycle loop.
+		// The sampler decides only when parked cycles are charged, never
+		// what they total: SkipCycles charges add up across split spans.
+		//simlint:allow neutral — backfill timing only; totals byte-identical (see skip-vs-no-skip tests)
 		if mets != nil && mets.Due(cyc) {
+			m.backfill(cyc + 1)
 			mets.Record(m.probe(cyc))
 		}
 		if !alive {
 			break
 		}
-		if noSkip || wake <= cyc+1 {
+		if noSkip || soonest <= cyc+1 {
 			cyc++
 		} else {
-			cyc = m.nextCycle(cyc, end, mets)
+			cyc = m.nextCycle(cyc, soonest, end, mets)
 		}
 		if tel != nil {
 			telTicked++
 			if telTicked >= 1<<20 {
 				tel.CyclesTicked.Add(telTicked)
 				telTicked = 0
-				if sk := m.skipped; sk > telSkipBase {
-					tel.CyclesSkipped.Add(sk - telSkipBase)
-					telSkipBase = sk
-				}
+				telSkipBase, telParkBase = m.flushSkips(tel, telSkipBase, telParkBase)
 			}
 		}
 	}
+	m.backfill(cyc)
+	clear(m.wake)
 	if tel != nil {
 		tel.CyclesTicked.Add(telTicked)
-		if sk := m.skipped; sk > telSkipBase {
-			tel.CyclesSkipped.Add(sk - telSkipBase)
-		}
+		m.flushSkips(tel, telSkipBase, telParkBase)
 	}
 	for _, c := range m.CPUs {
 		if f := c.Context().Fault; f != "" {
@@ -577,42 +607,101 @@ func (m *Machine) RunWindow(start, n uint64) (next uint64, halted bool, err erro
 	return cyc, allHalted, nil
 }
 
-// nextCycle is the slow path of the quiescence skip, entered only when
-// the tick pass's candidate horizon says every running CPU is inert
-// past cyc+1. It re-verifies that from fresh post-tick state (a tick
-// can wake another CPU mid-pass) and returns the cycle the loop should
-// execute next: cyc+1 normally, or — when every running CPU, the event
-// calendar, and the sampler are provably inert past cyc+1 — the
-// earliest cycle at which any of them next has work, clamped to end.
-// The skip is recomputed after every executed cycle, so an event that
-// schedules another event (or wakes a CPU) always re-bounds the next
-// jump; nothing scheduled from inside the skipped window can exist,
-// because nothing executes in it. Rotation offsets stay correct for
-// free: off derives from the actual cycle number, and all skipped
-// cycles are cycles in which no CPU would have ticked at all.
-func (m *Machine) nextCycle(cyc, end uint64, mets *obsv.Metrics) uint64 {
+// park tries to take CPU id off the per-cycle path after its tick at
+// cyc returned a hint past cyc+1, and returns the cycle at which the
+// CPU next needs a tick. The hint is re-verified against the CPU's own
+// NextWork proof, and a live IRQ line keeps the CPU on the per-cycle
+// path so delivery timing is untouched. A parked CPU stays parked until
+// its wake cycle unless an event or an IRQ merge wakes it earlier.
+func (m *Machine) park(id int, cyc uint64) uint64 {
 	step := cyc + 1
-	if step >= end {
+	if id < len(m.irq.live) && m.irq.live[id] {
 		return step
 	}
-	target := uint64(cpu.NoWork)
+	w := m.CPUs[id].NextWork(cyc)
+	if w <= step {
+		return step
+	}
+	m.wake[id] = w
+	m.parkedAt[id] = step
+	return w
+}
+
+// unpark returns CPU id to the per-cycle path at cycle cyc, charging
+// the cycles it sat out.
+func (m *Machine) unpark(id int, cyc uint64) {
+	m.skipCycles(id, cyc)
+	m.wake[id] = 0
+}
+
+// skipCycles charges CPU id's parked cycles before cycle to, then
+// restarts its parked span at to. Only models with per-cycle stall
+// accounting need the charge; the count feeds the local-skip telemetry.
+func (m *Machine) skipCycles(id int, to uint64) {
+	from := m.parkedAt[id]
+	if to <= from {
+		return
+	}
+	c := m.CPUs[id]
+	if !c.Done() {
+		if s, ok := c.(cycleSkipper); ok {
+			s.SkipCycles(from, to)
+		}
+		m.parked += to - from
+	}
+	m.parkedAt[id] = to
+}
+
+// backfill brings every parked CPU's stall accounting up to cycle to,
+// so a probe or the window's caller sees the counters a per-cycle run
+// would have produced.
+func (m *Machine) backfill(to uint64) {
+	for id, w := range m.wake {
+		if w != 0 {
+			m.skipCycles(id, to)
+		}
+	}
+}
+
+// wakeAll returns every parked CPU to the per-cycle path from cycle
+// cyc: an event callback or a newly live IRQ line may have given any of
+// them work their NextWork proofs did not foresee.
+func (m *Machine) wakeAll(cyc uint64) {
+	for id, w := range m.wake {
+		if w > cyc {
+			m.wake[id] = cyc
+		}
+	}
+}
+
+// flushSkips adds the skipped and parked cycles counted since the given
+// bases to the telemetry counters and returns the new bases.
+func (m *Machine) flushSkips(tel *telemetry.SimMetrics, skipBase, parkBase uint64) (uint64, uint64) {
+	if m.skipped > skipBase {
+		tel.CyclesSkipped.Add(m.skipped - skipBase)
+	}
+	if m.parked > parkBase {
+		tel.LocalSkipped.Add(m.parked - parkBase)
+	}
+	return m.skipped, m.parked
+}
+
+// nextCycle is the slow path of the quiescence skip, entered only when
+// every running CPU is parked past cyc+1; soonest is the earliest wake.
+// It returns the cycle the loop should execute next: the earliest wake,
+// bounded by the next event, the next grid boundary while tick-phase
+// raises wait to merge, the sampler's next due cycle and end. Nothing
+// is ticked inside the jumped span, so nothing scheduled from inside it
+// can exist; the parked CPUs' stall accounting is backfilled lazily.
+// Rotation offsets stay correct for free: off derives from the actual
+// cycle number.
+func (m *Machine) nextCycle(cyc, soonest, end uint64, mets *obsv.Metrics) uint64 {
+	step := cyc + 1
 	running := false
-	for i, c := range m.CPUs {
-		if c.Done() {
-			continue
-		}
-		running = true
-		// A pending interrupt means the kernel wants this CPU's
-		// attention; deliver on the per-cycle path.
-		if i < len(m.irq.live) && m.irq.live[i] {
-			return step
-		}
-		w := c.NextWork(cyc)
-		if w <= step {
-			return step
-		}
-		if w < target {
-			target = w
+	for _, c := range m.CPUs {
+		if !c.Done() {
+			running = true
+			break
 		}
 	}
 	if !running {
@@ -621,13 +710,9 @@ func (m *Machine) nextCycle(cyc, end uint64, mets *obsv.Metrics) uint64 {
 		// final events or sample) happen exactly as without skipping.
 		return step
 	}
-	if ev, ok := m.Events.NextCycle(); ok {
-		if ev <= step {
-			return step
-		}
-		if ev < target {
-			target = ev
-		}
+	target := soonest
+	if ev, ok := m.Events.NextCycle(); ok && ev < target {
+		target = ev
 	}
 	if m.irq.npend > 0 {
 		// Buffered tick-phase raises deliver at the next grid boundary;
@@ -644,11 +729,7 @@ func (m *Machine) nextCycle(cyc, end uint64, mets *obsv.Metrics) uint64 {
 		// output-identity tests pin byte-equal results with and without
 		// sampling attached.
 		//simlint:allow neutral — skip bound only; output byte-identical (see output-identity tests)
-		due := mets.NextDue()
-		if due <= step {
-			return step
-		}
-		if due < target {
+		if due := mets.NextDue(); due < target {
 			target = due
 		}
 	}
@@ -658,20 +739,27 @@ func (m *Machine) nextCycle(cyc, end uint64, mets *obsv.Metrics) uint64 {
 	if target <= step {
 		return step
 	}
-	for _, c := range m.CPUs {
-		if c.Done() {
-			continue
-		}
-		if s, ok := c.(cycleSkipper); ok {
-			s.SkipCycles(step, target)
-		}
-	}
 	m.skipped += target - step
 	return target
 }
 
+// gridSize returns the SimWindow interrupt-delivery grid. Grid
+// boundaries are absolute cycle numbers (multiples of the grid), so
+// where RunWindow calls chop the run into chunks cannot move them —
+// checkpoint/resume and single-call runs see identical IRQ merge points.
+func (m *Machine) gridSize() uint64 {
+	if w := m.Cfg.SimWindow; w > 0 {
+		return w
+	}
+	return memsys.DefaultSimWindow
+}
+
+// gridNext returns the first SimWindow grid boundary strictly after c.
+func gridNext(c, grid uint64) uint64 { return (c/grid + 1) * grid }
+
 // SkippedCycles returns how many cycles the quiescence-skipping
-// scheduler jumped over instead of ticking, across all RunWindow calls.
+// scheduler jumped over with every CPU parked, across all RunWindow
+// calls.
 func (m *Machine) SkippedCycles() uint64 { return m.skipped }
 
 // Run executes the cycle loop until every CPU halts, any context

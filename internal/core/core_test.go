@@ -200,3 +200,15 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		t.Errorf("nondeterministic: %d vs %d cycles", a, b)
 	}
 }
+
+// TestNewMachineRejectsInvalidConfig: a geometry the cache constructor
+// would panic on mid-campaign is an error from NewMachine instead.
+func TestNewMachineRejectsInvalidConfig(t *testing.T) {
+	cfg := memsys.DefaultConfig()
+	cfg.L1DAssoc = 0
+	for _, a := range Arches() {
+		if _, err := NewMachine(a, ModelMipsy, cfg, 1<<20); err == nil || !strings.Contains(err.Error(), "L1DAssoc") {
+			t.Errorf("%s: NewMachine error = %v, want one naming L1DAssoc", a, err)
+		}
+	}
+}

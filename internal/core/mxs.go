@@ -8,13 +8,7 @@ import (
 
 func init() {
 	newMXSCore = func(id int, ctx *cpu.Context, m *Machine, cfg memsys.Config) Core {
-		c := mxs.New(id, ctx, m.gatedSys(id), m.Code.Cursor(), m.gatedTrap(id), m.Img, cfg.LineBytes)
-		if m.par != nil {
-			// MXS reads the shared guest image directly at graduation
-			// (load refresh), outside any memory-system call; it must
-			// take the tick gate itself before doing so.
-			c.SetTickGate(m.par.gate(id))
-		}
+		c := mxs.New(id, ctx, m.Sys, m.Code.Cursor(), m.Trap, m.Img, cfg.LineBytes)
 		if cfg.Trace != nil {
 			c.SetTracer(cfg.Trace)
 		}

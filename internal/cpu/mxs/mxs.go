@@ -116,8 +116,7 @@ type CPU struct {
 	btb [btbEntries]btbEntry
 
 	irq     cpu.InterruptSource
-	irqStop bool         // draining the pipeline to take an interrupt
-	gate    cpu.TickGate // shared-state grant under the parallel scheduler; nil serial
+	irqStop bool // draining the pipeline to take an interrupt
 
 	tr    obsv.Tracer    // optional event tracer; nil means disabled
 	prof  *prof.Profiler // optional cycle-attribution profiler; nil means disabled
@@ -128,15 +127,6 @@ type CPU struct {
 // precise: fetch stops, the pipeline drains, then the trap fires with
 // the architectural PC as the resume point.
 func (c *CPU) SetInterruptSource(src cpu.InterruptSource) { c.irq = src }
-
-// SetTickGate attaches the parallel scheduler's shared-state grant.
-// Every memory-system and trap call is already gated by the core's
-// wrappers; the one place this model touches shared state directly is
-// the graduation-time load refresh, which re-reads the guest image
-// with no memory-system call in front of it, so graduate() syncs the
-// gate explicitly before refreshing. nil (the default, and always in
-// serial runs) keeps that site on its zero-cost path.
-func (c *CPU) SetTickGate(g cpu.TickGate) { c.gate = g }
 
 // SetTracer attaches an event tracer; pipeline flushes, branch
 // mispredictions and window-full dispatch stalls then emit events.
@@ -370,12 +360,6 @@ func (c *CPU) graduate(now uint64) int {
 		if op.IsMem() && !e.eaOK {
 			c.ctx.Faultf("%v: unmapped data address (pc %#x)", op, e.pc)
 			break
-		}
-		if op.IsLoad() && c.gate != nil {
-			// The refresh below reads the shared guest image directly;
-			// under the parallel scheduler, claim the serial-order grant
-			// first so it observes exactly what the serial loop would.
-			c.gate.Sync()
 		}
 		if op.IsLoad() && c.loadRefresh(e) {
 			// Another CPU wrote the location between this load's

@@ -87,10 +87,10 @@ func TestAnalyzersCatchFixtures(t *testing.T) {
 			a := analyzerByName(t, name)
 			dir := filepath.Join("testdata", "src", name)
 			if name == "neutral" {
-				// The neutral fixture consumes stand-in observability
-				// packages; preload them under paths whose suffixes mark
-				// them as the obs surface.
-				for _, sub := range []string{"obsv", "hostprof"} {
+				// The neutral fixture consumes a stand-in observability
+				// package; preload it under a path whose suffix marks it
+				// as the obs surface.
+				for _, sub := range []string{"obsv"} {
 					obs, err := sharedLoader().Load(filepath.Join(dir, sub),
 						"cmpsim/lintfixture/internal/"+sub, "internal/"+sub)
 					if err != nil {

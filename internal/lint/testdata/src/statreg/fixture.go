@@ -60,30 +60,3 @@ func (m *BarMetrics) work() {
 func (m *BarMetrics) depth() int64 {
 	return m.Depth.Value()
 }
-
-// HostStats mirrors the internal/hostprof snapshot shape (SchedStats,
-// WorkerStats, WaitStats): the recorder increments fields on the hot
-// path and a report renders every one of them — a field only ever
-// incremented would be dead weight silently carried by every parallel
-// window.
-type HostStats struct {
-	Windows  uint64
-	SpinNs   uint64
-	DeadSpin uint64 // want "never read"
-	Sites    [4]uint64
-}
-
-func (s *HostStats) record(site int) {
-	s.Windows++
-	s.SpinNs += 10
-	s.DeadSpin++
-	s.Sites[site]++
-}
-
-func (s *HostStats) report() (uint64, uint64) {
-	var bySite uint64
-	for i := range s.Sites {
-		bySite += s.Sites[i]
-	}
-	return s.Windows, s.SpinNs + bySite
-}

@@ -12,10 +12,12 @@
 package memsys
 
 import (
+	"fmt"
+	"math/bits"
+
 	"cmpsim/internal/cache"
 	"cmpsim/internal/check"
 	"cmpsim/internal/coherence"
-	"cmpsim/internal/hostprof"
 	"cmpsim/internal/interconnect"
 	"cmpsim/internal/obsv"
 	"cmpsim/internal/prof"
@@ -190,20 +192,6 @@ type Config struct {
 	//simlint:cachekey-exempt — output-neutral by contract (enforced by the neutral analyzer)
 	Telem *telemetry.SimMetrics
 
-	// HostProf, when non-nil, attaches the host-side execution
-	// observatory (package hostprof) to the parallel-tick scheduler:
-	// gate-wait attribution by (waiter, peer, site), window cut reasons
-	// and lengths, local-skip distances, coordinator serial time. Like
-	// Telem — and unlike the guest attachments Trace/Prof/Check — it
-	// observes the host schedule, never sim state, so it does NOT force
-	// the serial path and never contributes to the cache key; it does
-	// make a job uncacheable (a cache hit skips the simulation, so there
-	// would be nothing to observe). Serial runs leave it unbound and its
-	// snapshot empty.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (enforced by the neutral analyzer; parallel-identity tests pin byte-identical output with a recorder attached)
-	HostProf *hostprof.Recorder
-
 	// NoSkip disables the core loop's quiescence skipping (cmpsim
 	// -no-skip), forcing every cycle to be ticked as before the
 	// event-driven scheduler existed. Output is identical either way —
@@ -212,66 +200,22 @@ type Config struct {
 	// the reference side of the skip-vs-no-skip diff.
 	NoSkip bool
 
-	// SimJobs shards one simulation's per-CPU tick work across up to
-	// this many host goroutines (cmpsim -sim-jobs). Shared-resource
-	// accesses are granted in exact serial rotation order by the core
-	// scheduler's per-tick gate, so output is byte-identical for any
-	// value — the parallel-identity regression tests pin that — and the
-	// field is therefore excluded from the runner's cache fingerprint
-	// (runner.Fingerprint skips it by name): a cached serial result is
-	// the parallel result. 0 or 1 selects the untouched serial loop.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly)
-	SimJobs int
-
-	// ShardLayout overrides the parallel scheduler's contiguous-block
-	// CPU→worker assignment with an explicit one (cmpsim
-	// -shard-layout): a comma-separated worker index per CPU, e.g.
-	// "0,1,0,1" co-schedules CPUs 0+2 and 1+3. Profile-guided layouts
-	// from `parprof -suggest-layout` co-locate the hottest waiter-peer
-	// pairs, whose gate spins then vanish (same-shard accesses are
-	// ordered by the owning worker's pick order, not by spinning). Like
-	// SimJobs it is a pure host-parallelism knob — shared accesses still
-	// happen in exact serial rotation order, output is byte-identical
-	// for any layout (parallel-identity tests) — so it is excluded from
-	// the cache fingerprint by name. Empty selects the default layout.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (parallel-identity tests; serial grant order reproduced exactly under any CPU→worker assignment)
-	ShardLayout string
-
-	// AdaptWindow lets the parallel scheduler pick window edges
-	// adaptively (cmpsim -sim-window-adapt): the coordinator
-	// fast-forwards whole all-quiescent gaps between windows (the
-	// sharded analog of the serial global skip) and shortens windows
-	// below the grid when recent spin counts say a laggard dominates.
-	// Window edges only move barriers, never what any cycle computes —
-	// IRQ-merge grid boundaries still bound every window, so the
-	// delivery contract is untouched and output stays byte-identical
-	// (parallel-identity tests run the whole matrix with this on).
-	// Excluded from the cache fingerprint by name, like SimJobs.
-	//
-	//simlint:cachekey-exempt — output-neutral by contract (parallel-identity tests; window edges never change simulated state, only host scheduling)
-	AdaptWindow bool
-
-	// SimWindow is the scheduling-window grid of the core cycle loop, in
-	// cycles: cross-CPU interrupt raises performed from tick phase (a
+	// SimWindow is the interrupt-delivery grid of the core cycle loop,
+	// in cycles: cross-CPU interrupt raises performed from tick phase (a
 	// trap handler running under a CPU's tick, as opposed to an event
 	// callback) are buffered and delivered at the next cycle that is a
-	// multiple of SimWindow, in both the serial and the parallel
-	// scheduler, and the parallel scheduler's barriers land on the same
-	// grid. It is part of the delivery contract — a different grid may
-	// legally produce different simulated timing — so unlike SimJobs it
-	// stays in the cache fingerprint. 0 means DefaultSimWindow. (Today's
-	// guest kernel raises interrupts only from timer events, which are
-	// delivered immediately in both modes, so the grid is latent.)
+	// multiple of SimWindow. It is part of the delivery contract — a
+	// different grid may legally produce different simulated timing — so
+	// it stays in the cache fingerprint. 0 means DefaultSimWindow.
+	// (Today's guest kernel raises interrupts only from timer events,
+	// which are delivered immediately, so the grid is latent.)
 	SimWindow uint64
 }
 
-// DefaultSimWindow is the scheduling-window grid used when
-// Config.SimWindow is zero: long enough that window barriers are
-// negligible against thousands of simulated cycles of work, short
-// enough that a buffered tick-phase interrupt is never deferred by more
-// than a few microseconds of simulated time.
+// DefaultSimWindow is the interrupt-delivery grid used when
+// Config.SimWindow is zero: short enough that a buffered tick-phase
+// interrupt is never deferred by more than a few microseconds of
+// simulated time.
 const DefaultSimWindow = 4096
 
 // traceAccess reports one completed data access to the tracer and the
@@ -355,6 +299,48 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports the first parameter that no architecture can be
+// built from, naming the field. NewMachine calls it, so a bad config is
+// rejected when the machine is built rather than by a panic mid-run.
+func (c *Config) Validate() error {
+	if c.NumCPUs < 1 {
+		return fmt.Errorf("memsys: NumCPUs = %d, want >= 1", c.NumCPUs)
+	}
+	if !pow2(uint64(c.LineBytes)) {
+		return fmt.Errorf("memsys: LineBytes = %d, want a power of two", c.LineBytes)
+	}
+	for _, g := range []struct {
+		name        string
+		size, assoc uint32
+	}{
+		{"L1I", c.L1ISize, c.L1IAssoc},
+		{"L1D", c.L1DSize, c.L1DAssoc},
+		{"SharedL1", c.SharedL1Size, c.SharedL1Assoc},
+		{"L2", c.L2Size, c.L2Assoc},
+		{"PrivL2", c.PrivL2Size, c.L2Assoc},
+	} {
+		if g.assoc == 0 {
+			return fmt.Errorf("memsys: %sAssoc = 0, want >= 1", g.name)
+		}
+		set := uint64(c.LineBytes) * uint64(g.assoc)
+		if uint64(g.size)%set != 0 || !pow2(uint64(g.size)/set) {
+			return fmt.Errorf("memsys: %sSize = %d, want a power-of-two number of sets of LineBytes × associativity (%d) bytes", g.name, g.size, set)
+		}
+	}
+	if !pow2(uint64(c.SharedL1Banks)) {
+		return fmt.Errorf("memsys: SharedL1Banks = %d, want a power of two", c.SharedL1Banks)
+	}
+	if !pow2(uint64(c.L2Banks)) {
+		return fmt.Errorf("memsys: L2Banks = %d, want a power of two", c.L2Banks)
+	}
+	if c.MSHRs < 1 {
+		return fmt.Errorf("memsys: MSHRs = %d, want >= 1", c.MSHRs)
+	}
+	return nil
+}
+
+func pow2(v uint64) bool { return bits.OnesCount64(v) == 1 }
+
 // MXS returns cfg adjusted for the detailed CPU model: the shared-L1
 // architecture pays its true 3-cycle hit time and bank contention
 // (Section 4.4).
@@ -421,9 +407,8 @@ func newReservations(numCPUs int, lineBytes uint32) reservations {
 }
 
 // set records cpu's LL reservation. The reservation table is itself an
-// inter-CPU arbitration mechanism (LL/SC): its methods are the declared
-// serialization points the parallel tick must order at window
-// boundaries, exactly like bus acquisition.
+// inter-CPU arbitration mechanism (LL/SC): its methods are declared
+// serialization points, exactly like bus acquisition.
 //
 //simlint:arbiter
 func (r *reservations) set(cpu int, addr uint32) {

@@ -32,12 +32,8 @@ type SharedMem struct {
 	wbufs []writeBuf
 
 	// chkNodes is preallocated sanitizer scratch, nil unless Check is
-	// set. It is written only inside sanityCheck, which runs under the
-	// memory system's serial-order arbitration: sanityCheck is called
-	// from Access, and every Access happens either on the serial cycle
-	// loop or under the parallel scheduler's tick-gate grant (in
-	// practice a Checker forces the serial loop outright — parActive
-	// refuses to shard sanitized runs).
+	// set. It is written only inside sanityCheck, which is called from
+	// Access, and every Access happens on the serial cycle loop.
 	chkNodes []check.NodeState
 }
 

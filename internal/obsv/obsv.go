@@ -51,51 +51,26 @@ const (
 	EvMispredict // branch mispredict: CPU, Addr=branch PC, Arg=instructions squashed
 	EvROBFull    // dispatch blocked, window full: CPU
 
-	// Host-timeline tracks (internal/hostprof): the parallel-tick
-	// scheduler's own execution, correlated to sim time via Cycle. These
-	// describe the host schedule, not guest behavior — cmd/tracestats
-	// separates them with -tracks guest|host|all.
-	EvHostWindow  // worker window: CPU=worker, Cycle=sim w0, Addr=length (sim cycles), Arg=host µs
-	EvHostSpin    // tick-gate spin: CPU=waiter, Addr=peer, Cycle=gate sim cycle, Arg=host ns, Arg2=site index
-	EvHostSkip    // local quiescence skip: CPU, Cycle=from, Arg=distance (sim cycles)
-	EvHostSerial  // coordinator serial stretch: CPU=-1, Arg=host µs
-	EvHostBarrier // coordinator parallel-region span: CPU=-1, Cycle=sim w0, Arg=host µs, Arg2=length (sim cycles)
-
 	NumEventKinds
 )
 
 var kindNames = [NumEventKinds]string{
-	EvNone:        "none",
-	EvLoad:        "load",
-	EvStore:       "store",
-	EvIFetch:      "ifetch",
-	EvGrant:       "grant",
-	EvMSHRAlloc:   "mshr-alloc",
-	EvMSHRRetire:  "mshr-retire",
-	EvMSHRFull:    "mshr-full",
-	EvWBufFull:    "wbuf-full",
-	EvInval:       "inval",
-	EvInclEvict:   "incl-evict",
-	EvC2C:         "c2c",
-	EvUpgrade:     "upgrade",
-	EvFlush:       "flush",
-	EvMispredict:  "mispredict",
-	EvROBFull:     "rob-full",
-	EvHostWindow:  "host-window",
-	EvHostSpin:    "host-spin",
-	EvHostSkip:    "host-skip",
-	EvHostSerial:  "host-serial",
-	EvHostBarrier: "host-barrier",
-}
-
-// HostKind reports whether k is a host-timeline (scheduler) event as
-// opposed to a guest (simulated machine) event.
-func HostKind(k EventKind) bool {
-	switch k {
-	case EvHostWindow, EvHostSpin, EvHostSkip, EvHostSerial, EvHostBarrier:
-		return true
-	}
-	return false
+	EvNone:       "none",
+	EvLoad:       "load",
+	EvStore:      "store",
+	EvIFetch:     "ifetch",
+	EvGrant:      "grant",
+	EvMSHRAlloc:  "mshr-alloc",
+	EvMSHRRetire: "mshr-retire",
+	EvMSHRFull:   "mshr-full",
+	EvWBufFull:   "wbuf-full",
+	EvInval:      "inval",
+	EvInclEvict:  "incl-evict",
+	EvC2C:        "c2c",
+	EvUpgrade:    "upgrade",
+	EvFlush:      "flush",
+	EvMispredict: "mispredict",
+	EvROBFull:    "rob-full",
 }
 
 func (k EventKind) String() string {

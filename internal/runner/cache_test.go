@@ -121,16 +121,6 @@ func TestFingerprintCoversEveryScalarKnob(t *testing.T) {
 				t.Errorf("attachment field %s leaked into the fingerprint", f.Name)
 			}
 		default:
-			switch f.Name {
-			case "SimJobs", "ShardLayout", "AdaptWindow":
-				// Output-neutral host-parallelism knobs: skipped by name so
-				// sharded and serial runs share cache entries (see
-				// Fingerprint's doc comment).
-				if strings.Contains(fp, f.Name+"=") {
-					t.Errorf("output-neutral knob %s leaked into the fingerprint", f.Name)
-				}
-				continue
-			}
 			if !strings.Contains(fp, f.Name+"=") {
 				t.Errorf("scalar knob %s missing from the fingerprint", f.Name)
 			}

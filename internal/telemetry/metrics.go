@@ -101,34 +101,10 @@ type SimMetrics struct {
 	CyclesSkipped Counter // cycles fast-forwarded by the quiescence-skipping scheduler
 	Windows       Counter // RunWindow invocations
 
-	// Parallel-tick instrumentation (zero when every machine runs the
-	// serial loop). ParWindows counts barrier-delimited scheduling
-	// windows; GateWaits counts tick-gate Sync calls that found a peer
-	// CPU still behind in the service rotation and had to spin — the
-	// direct measure of cross-shard serialization. LocalSkipped counts
-	// per-CPU cycles the workers fast-forwarded inside windows (the
-	// sharded counterpart of CyclesSkipped; it is per-CPU work, not
-	// machine cycles, so it is deliberately excluded from Cycles).
-	ParWindows   Counter
-	GateWaits    Counter
+	// LocalSkipped counts the per-CPU cycles parked CPUs sat out
+	// instead of ticking. It is per-CPU work, not machine cycles, so it
+	// is deliberately excluded from Cycles.
 	LocalSkipped Counter
-	ShardTicks   *CounterVec // per-shard executed CPU ticks: utilization balance
-
-	// Epoch-grant instrumentation: when the coordinator carries per-CPU
-	// safe horizons across a quiet window boundary, a CPU whose horizon
-	// already clears the new window is granted the whole epoch without a
-	// single tick. EpochGrants counts granted window entries;
-	// EpochGrantedCycles counts the per-CPU cycles those grants covered —
-	// together the live measure of how much re-proving (and peer
-	// spinning) the horizon carry eliminates.
-	EpochGrants        Counter
-	EpochGrantedCycles Counter
-
-	// GateWaitsBySite splits GateWaits by the shared-access site whose
-	// gate spun (access/ifetch/ll-reserve/sc-check/clear-reserve/
-	// syscall/mxs-image) — the live /metrics view of the attribution
-	// that internal/hostprof records in full detail.
-	GateWaitsBySite *CounterVec
 }
 
 // register wires the cycle-loop metrics into the registry.
@@ -136,13 +112,7 @@ func (m *SimMetrics) register(r *Registry) {
 	r.Counter("sim_cycles_ticked_total", "cycle-loop iterations executed across all runs", &m.CyclesTicked)
 	r.Counter("sim_cycles_skipped_total", "cycles fast-forwarded by the quiescence-skipping scheduler", &m.CyclesSkipped)
 	r.Counter("sim_windows_total", "core RunWindow invocations", &m.Windows)
-	r.Counter("sim_par_windows_total", "parallel-tick scheduling windows executed", &m.ParWindows)
-	r.Counter("sim_gate_waits_total", "tick-gate syncs that spun for a rotation-order grant", &m.GateWaits)
-	r.Counter("sim_local_skipped_cpu_cycles_total", "per-CPU cycles fast-forwarded inside parallel windows", &m.LocalSkipped)
-	m.ShardTicks = r.CounterVec("sim_shard_ticks_total", "CPU ticks executed by each parallel-tick shard", "shard")
-	r.Counter("sim_epoch_grants_total", "whole-window epoch grants from carried safe horizons", &m.EpochGrants)
-	r.Counter("sim_epoch_granted_cycles_total", "per-CPU cycles covered by epoch grants at window entry", &m.EpochGrantedCycles)
-	m.GateWaitsBySite = r.CounterVec("sim_gate_waits_by_site_total", "tick-gate syncs that spun, by shared-access site", "site")
+	r.Counter("sim_local_skipped_cpu_cycles_total", "per-CPU cycles parked CPUs sat out instead of ticking", &m.LocalSkipped)
 }
 
 // Cycles returns total simulated cycles advanced (ticked + skipped) —
